@@ -1,6 +1,7 @@
-//! Micro-benchmarks of the emulation substrate: the discrete-event engine, the dummynet pipe
-//! and IPFW firewall models (the mechanism behind Figure 6), the libc-interception cost model
-//! (the paper's overhead table) and the BitTorrent piece picker.
+//! Micro-benchmarks of the emulation substrate: the discrete-event engine (closure and
+//! typed-event paths), the dummynet pipe and IPFW firewall models (the mechanism behind
+//! Figure 6), the libc-interception cost model (the paper's overhead table) and the
+//! BitTorrent piece picker.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use p2plab_bittorrent::{Bitfield, PieceManager, Torrent};
@@ -8,7 +9,7 @@ use p2plab_net::{
     Direction, Firewall, InterceptConfig, Pipe, PipeConfig, PipeId, Rule, Subnet, VirtAddr,
 };
 use p2plab_os::SyscallCostModel;
-use p2plab_sim::{SimDuration, SimRng, SimTime, Simulation};
+use p2plab_sim::{SimDuration, SimRng, SimTime, Simulation, TypedEvent};
 use std::hint::black_box;
 
 fn bench_event_engine(c: &mut Criterion) {
@@ -25,6 +26,37 @@ fn bench_event_engine(c: &mut Criterion) {
                 sim.run();
                 black_box(*sim.world())
             })
+        });
+    }
+    group.finish();
+}
+
+/// A pooled typed event that re-arms itself at the instant it fires, so the queue keeps a
+/// standing population in one tick.
+struct Rearm;
+
+impl TypedEvent<u64> for Rearm {
+    fn fire(self, sim: &mut Simulation<u64, Rearm>) {
+        *sim.world_mut() += 1;
+        sim.schedule_event_in(SimDuration::ZERO, Rearm);
+    }
+}
+
+fn bench_same_tick_burst(c: &mut Criterion) {
+    // The lattice-burst shape of periodic rounds over fixed link delays: `n` typed events
+    // share one instant, and each iteration is one pop plus one push at that instant (the
+    // push carries the largest seq of the tick). Per-iteration cost must grow at most
+    // logarithmically with `n`.
+    let mut group = c.benchmark_group("sim_engine");
+    group.sample_size(100_000);
+    for &n in &[100usize, 1_000, 10_000] {
+        group.bench_with_input(BenchmarkId::new("same_tick_burst", n), &n, |b, &n| {
+            let mut sim: Simulation<u64, Rearm> = Simulation::with_events(0, 42);
+            for _ in 0..n {
+                sim.schedule_event_at(SimTime::from_millis(1), Rearm);
+            }
+            b.iter(|| sim.step());
+            black_box(*sim.world());
         });
     }
     group.finish();
@@ -98,6 +130,7 @@ fn bench_piece_picker(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_event_engine,
+    bench_same_tick_burst,
     bench_pipe,
     bench_firewall,
     bench_interception,

@@ -318,6 +318,14 @@ pub enum ScenarioError {
         /// Why the workload rejected the plan.
         reason: String,
     },
+    /// A workload parameter parses but cannot run (a zero gossip `round_interval` would
+    /// schedule every round at one instant forever).
+    InvalidWorkloadParam {
+        /// Key path of the parameter, e.g. `workload.gossip.round_interval`.
+        key: String,
+        /// What is wrong with its value.
+        reason: String,
+    },
     /// The topology has fewer virtual nodes than the workload needs.
     TopologyTooSmall {
         /// Nodes the workload requires.
@@ -368,6 +376,9 @@ impl fmt::Display for ScenarioError {
             }
             ScenarioError::AdversaryUnsupported { reason } => {
                 write!(f, "adversary plan rejected: {reason}")
+            }
+            ScenarioError::InvalidWorkloadParam { key, reason } => {
+                write!(f, "invalid workload parameter {key}: {reason}")
             }
             ScenarioError::TopologyTooSmall { needed, available } => write!(
                 f,

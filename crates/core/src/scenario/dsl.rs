@@ -1473,10 +1473,11 @@ impl ScenarioFile {
     }
 
     /// Runs the same checks [`run_scenario`](crate::scenario::run_scenario) performs before
-    /// anything executes: the spec's internal consistency plus the topology-vs-workload size
-    /// check.
+    /// anything executes — the spec's internal consistency plus the topology-vs-workload size
+    /// check — and the workload's own parameter checks.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         self.spec.validate()?;
+        self.workload.validate()?;
         let needed = self.workload.vnodes_required();
         let available = self.spec.topology.total_nodes();
         if needed > available {

@@ -17,8 +17,7 @@ use p2plab_net::{
     Endpoint, NetHost, NetSim, NetStats, Network, SocketAddr, TransportEvent, VNodeId,
 };
 use p2plab_sim::{
-    schedule_periodic, Counter, FxHashMap, Gauge, Recorder, RunOutcome, SimDuration, SimTime,
-    TimeSeries,
+    schedule_periodic, Counter, Gauge, Recorder, RunOutcome, SimDuration, SimTime, TimeSeries,
 };
 use serde::{Deserialize, Serialize};
 use std::rc::Rc;
@@ -86,20 +85,26 @@ pub struct GossipWorld {
     rumor_bytes: u64,
     fanout: usize,
     round_interval: SimDuration,
-    vnode_index: FxHashMap<VNodeId, usize>,
+    /// Gossip node index of each vnode, indexed by `VNodeId.0` ([`NOT_GOSSIP`] for vnodes that
+    /// are not gossip nodes). Probed once per delivered rumor, so it is a dense array, not a
+    /// hash map.
+    vnode_index: Vec<u32>,
 }
+
+/// [`GossipWorld::vnode_index`] sentinel for a vnode that is not a gossip node.
+const NOT_GOSSIP: u32 = u32::MAX;
 
 impl GossipWorld {
     fn new(net: Network, vnodes: Vec<VNodeId>, spec: &GossipSpec) -> GossipWorld {
         let n = spec.nodes;
-        // Rumor receipts resolve the receiving vnode through this map; a linear scan per
+        // Rumor receipts resolve the receiving vnode through this table; a linear scan per
         // datagram would make every gossip round O(nodes^2).
-        let vnode_index = vnodes
-            .iter()
-            .take(n)
-            .enumerate()
-            .map(|(i, &v)| (v, i))
-            .collect();
+        let gossip_vnodes = &vnodes[..n.min(vnodes.len())];
+        let span = gossip_vnodes.iter().map(|v| v.0 + 1).max().unwrap_or(0);
+        let mut vnode_index = vec![NOT_GOSSIP; span];
+        for (i, v) in gossip_vnodes.iter().enumerate() {
+            vnode_index[v.0] = u32::try_from(i).expect("gossip node count fits in u32");
+        }
         GossipWorld {
             net,
             vnodes,
@@ -128,7 +133,10 @@ impl GossipWorld {
     }
 
     fn index_of(&self, vnode: VNodeId) -> Option<usize> {
-        self.vnode_index.get(&vnode).copied()
+        match self.vnode_index.get(vnode.0) {
+            Some(&i) if i != NOT_GOSSIP => Some(i as usize),
+            _ => None,
+        }
     }
 }
 
@@ -508,6 +516,18 @@ mod tests {
             .deadline(SimDuration::from_secs(600))
             .sample_interval(SimDuration::from_secs(1))
             .seed(11)
+    }
+
+    #[test]
+    fn index_of_resolves_gossip_vnodes_only() {
+        let net = Network::new(p2plab_net::NetworkConfig::default(), lan(8));
+        let vnodes = [5, 2, 7, 0, 3].map(VNodeId).to_vec();
+        // Four gossip nodes: the fifth vnode, like every vnode not listed, is foreign.
+        let world = GossipWorld::new(net, vnodes, &GossipSpec::new("idx", 4));
+        let resolved: Vec<_> = (0..10)
+            .filter_map(|v| Some((v, world.index_of(VNodeId(v))?)))
+            .collect();
+        assert_eq!(resolved, [(0, 3), (2, 1), (5, 0), (7, 2)]);
     }
 
     #[test]

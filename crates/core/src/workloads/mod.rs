@@ -34,6 +34,7 @@ pub use swarm::SwarmWorkload;
 use crate::experiment::SwarmExperiment;
 use crate::report::RunReport;
 use crate::scenario::{run_reported, ScenarioError, ScenarioSpec};
+use p2plab_sim::SimDuration;
 
 /// The kind labels of every first-class workload, in registry order. These are the values a
 /// scenario file's `workload.kind` key accepts and the labels
@@ -79,6 +80,22 @@ impl WorkloadConfig {
             WorkloadConfig::GossipSharded(_) => "gossip-sharded",
             WorkloadConfig::DhtLookup(_) => "dht-lookup",
         }
+    }
+
+    /// Rejects parameter values that parse but cannot run, naming the offending key.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        let round_interval = match self {
+            WorkloadConfig::Gossip(spec) => spec.round_interval,
+            WorkloadConfig::GossipSharded(spec) => spec.round_interval,
+            _ => return Ok(()),
+        };
+        if round_interval == SimDuration::ZERO {
+            return Err(ScenarioError::InvalidWorkloadParam {
+                key: format!("workload.{}.round_interval", self.kind()),
+                reason: "must be positive".into(),
+            });
+        }
+        Ok(())
     }
 
     /// Number of virtual nodes the workload needs from the scenario's topology.

@@ -1,25 +1,27 @@
-//! Event queue internals: a slab-backed hierarchical timer wheel.
+//! Event queue internals: a slab-backed hierarchical timer wheel in front of a ready heap.
 //!
-//! The queue used to be a binary heap keyed on `(time, sequence)` with a lazy-deletion
-//! cancellation set. At 10^4–10^5-vnode scale the heap's `O(log n)` sifts, the per-pop hash
-//! lookup in the cancellation set and the unbounded tombstone growth dominated the hot path, so
-//! the queue is now a **hierarchical timer wheel**:
-//!
-//! * Payloads live in a **slab** (`Vec<Slot<E>>` plus a free list). Slots are reused, so a
-//!   steady-state simulation performs no allocation per event, and every slot carries a
-//!   **generation** tag: cancellation just bumps the generation and frees the slot — `O(1)`,
-//!   no tombstone set — and stale wheel entries are skipped when they surface.
+//! * Payloads live in a **slab** (payload and sequence arrays plus a free list). Slots are
+//!   reused, so a steady-state simulation performs no allocation per event, and every slot
+//!   records the **sequence number** of its occupant: cancellation just clears it and frees
+//!   the slot — `O(1)`, no tombstone set — and stale timing entries are skipped when they
+//!   surface.
 //! * Timing lives in the **wheel**: [`LEVELS`] levels of 64 buckets, each level covering 64×
 //!   the span of the one below (tick = 2^[`TICK_SHIFT`] ns). An entry is bucketed by the
 //!   highest 6-bit digit in which its tick differs from the cursor and cascades toward level 0
-//!   as the cursor advances. Push, cancel and pop are all `O(1)` amortized.
+//!   as the cursor advances. Push and cancel are `O(1)` amortized.
+//! * Entries whose tick the cursor has reached wait in the **ready heap**, a binary min-heap
+//!   on `(time, sequence)`: the wheel orders ticks, the heap orders within one. Fixed link
+//!   delays put every node's periodic rounds on a shared time lattice, so at 50k gossip
+//!   vnodes thousands of entries share one 65 µs tick. The heap keeps push and pop at
+//!   `O(log r)` in that population `r`; a sorted buffer would shift the whole tick on nearly
+//!   every push, since a new entry almost always carries the largest key of its instant.
 //! * Entries beyond the wheel horizon (≈ 52 days of virtual time — mostly "never" timers at
-//!   [`SimTime::MAX`]) wait in a small **overflow heap** ordered by `(time, sequence)` and are
-//!   merged in when the cursor approaches them.
+//!   [`SimTime::MAX`]) wait in a small **overflow heap** ordered the same way and are merged
+//!   in when the cursor approaches them.
 //!
 //! Determinism is preserved exactly: every push still draws a global **sequence number**, and
-//! the due set (`ready`) is ordered by `(time, sequence)`, so two events scheduled for the same
-//! instant always execute in the order they were scheduled — the property the reproduction's
+//! both heaps pop in `(time, sequence)` order, so two events scheduled for the same instant
+//! always execute in the order they were scheduled — the property the reproduction's
 //! byte-identity pins rely on, checked against a reference model queue by
 //! `tests/prop_engine.rs`.
 
@@ -28,7 +30,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// log2 of the tick length in nanoseconds: one tick = 65536 ns (~65 µs). Sub-tick ordering is
-/// handled by the `(time, seq)`-sorted ready buffer, so the tick only bounds bucketing
+/// handled by the `(time, seq)` ready heap, so the tick only bounds bucketing
 /// granularity, not timing accuracy — a coarser tick just means fewer cascade hops for the
 /// second-scale delays that dominate network scenarios.
 const TICK_SHIFT: u32 = 16;
@@ -61,7 +63,7 @@ impl EventId {
     }
 }
 
-/// A timing entry in the wheel, ready buffer or overflow heap. The payload stays in the slab;
+/// A timing entry in the wheel, ready heap or overflow heap. The payload stays in the slab;
 /// the entry is a small `Copy` record so bucket moves are cheap.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
@@ -76,22 +78,23 @@ impl Entry {
     }
 }
 
-/// Overflow-heap wrapper ordering entries as a min-heap on `(time, seq)`.
-struct OverflowEntry(Entry);
+/// Heap wrapper ordering entries as a min-heap on `(time, seq)`, shared by the ready and
+/// overflow heaps.
+struct HeapEntry(Entry);
 
-impl PartialEq for OverflowEntry {
+impl PartialEq for HeapEntry {
     fn eq(&self, other: &Self) -> bool {
         self.0.key() == other.0.key()
     }
 }
-impl Eq for OverflowEntry {}
-impl Ord for OverflowEntry {
+impl Eq for HeapEntry {}
+impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, seq) surfaces first.
         other.0.key().cmp(&self.0.key())
     }
 }
-impl PartialOrd for OverflowEntry {
+impl PartialOrd for HeapEntry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -112,11 +115,12 @@ pub struct EventQueue<E> {
     buckets: Vec<Vec<Entry>>,
     /// One occupancy bit per bucket, per level.
     occupied: [u64; LEVELS],
-    /// Entries due at or before the cursor, sorted by `(time, seq)` **descending** so the next
-    /// event pops from the back in `O(1)`.
-    ready: Vec<Entry>,
+    /// Entries whose tick the cursor has reached, as a min-heap on `(time, seq)`. Rounds
+    /// synchronized on a time lattice put thousands of entries in one tick, so its cost must
+    /// stay logarithmic in its population (see the module docs).
+    ready: BinaryHeap<HeapEntry>,
     /// Entries beyond the wheel horizon.
-    overflow: BinaryHeap<OverflowEntry>,
+    overflow: BinaryHeap<HeapEntry>,
     /// Current wheel position, in ticks. No wheel entry has `tick < cursor`.
     cursor: u64,
     /// Next global sequence number (the FIFO tie-breaker).
@@ -146,7 +150,7 @@ impl<E> EventQueue<E> {
             free: Vec::new(),
             buckets: (0..LEVELS * SLOTS_PER_LEVEL).map(|_| Vec::new()).collect(),
             occupied: [0; LEVELS],
-            ready: Vec::new(),
+            ready: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             cursor: 0,
             next_seq: 0,
@@ -224,7 +228,7 @@ impl<E> EventQueue<E> {
     /// Time of the next live event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.advance();
-        self.ready.last().map(|e| e.time)
+        self.ready.peek().map(|e| e.0.time)
     }
 
     /// Removes and returns the next live event as `(time, id, payload)`.
@@ -238,7 +242,7 @@ impl<E> EventQueue<E> {
     /// event).
     pub fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, EventId, E)> {
         self.advance();
-        if self.ready.last()?.time > deadline {
+        if self.ready.peek()?.0.time > deadline {
             return None;
         }
         self.pop_ready()
@@ -246,7 +250,7 @@ impl<E> EventQueue<E> {
 
     /// Pops the (already advanced-to) next ready entry.
     fn pop_ready(&mut self) -> Option<(SimTime, EventId, E)> {
-        let entry = self.ready.pop()?;
+        let HeapEntry(entry) = self.ready.pop()?;
         debug_assert_eq!(self.seqs[entry.slot as usize], entry.seq);
         let payload = self.payloads[entry.slot as usize]
             .take()
@@ -269,12 +273,12 @@ impl<E> EventQueue<E> {
         self.seqs[e.slot as usize] == e.seq
     }
 
-    /// Files a timing entry into the ready buffer, a wheel bucket or the overflow heap,
+    /// Files a timing entry into the ready heap, a wheel bucket or the overflow heap,
     /// according to its distance from the cursor.
     fn place(&mut self, entry: Entry) {
         let t = tick_of(entry.time);
         if t <= self.cursor {
-            self.ready_insert(entry);
+            self.ready.push(HeapEntry(entry));
             return;
         }
         let diff = t ^ self.cursor;
@@ -282,7 +286,7 @@ impl<E> EventQueue<E> {
         if highest_bit >= HORIZON_BITS {
             // Beyond the wheel horizon (or a rotation carry at the top level): the overflow
             // heap holds it until the cursor gets close.
-            self.overflow.push(OverflowEntry(entry));
+            self.overflow.push(HeapEntry(entry));
             return;
         }
         let level = (highest_bit / LEVEL_BITS) as usize;
@@ -291,21 +295,12 @@ impl<E> EventQueue<E> {
         self.occupied[level] |= 1 << slot;
     }
 
-    /// Inserts into the ready buffer, keeping it sorted by `(time, seq)` descending.
-    fn ready_insert(&mut self, entry: Entry) {
-        let key = entry.key();
-        // Descending order: the next event to pop lives at the back. New entries usually carry
-        // the largest seq of their instant, so the common case is an append near the back.
-        let pos = self.ready.partition_point(|e| e.key() > key);
-        self.ready.insert(pos, entry);
-    }
-
-    /// Ensures the back of `ready` is the next live event, cascading wheel buckets and merging
+    /// Ensures the top of `ready` is the next live event, cascading wheel buckets and merging
     /// due overflow entries as needed.
     fn advance(&mut self) {
         loop {
-            // Skip stale (cancelled) entries at the consumption end.
-            while let Some(&e) = self.ready.last() {
+            // Skip stale (cancelled) entries as they surface at the top.
+            while let Some(&HeapEntry(e)) = self.ready.peek() {
                 if self.is_live(&e) {
                     return;
                 }
@@ -360,7 +355,7 @@ impl<E> EventQueue<E> {
 
     /// Tick of the earliest live overflow entry, discarding stale heads.
     fn next_overflow_tick(&mut self) -> Option<u64> {
-        while let Some(&OverflowEntry(e)) = self.overflow.peek() {
+        while let Some(&HeapEntry(e)) = self.overflow.peek() {
             if self.is_live(&e) {
                 return Some(tick_of(e.time));
             }
@@ -372,8 +367,8 @@ impl<E> EventQueue<E> {
     /// Cascades every bucket whose range the cursor now lies in, from the coarsest level down
     /// (entries re-placed from level `l` can land in the cursor's bucket at a level below `l`,
     /// which the next iteration then picks up). Entries whose tick equals the cursor end up in
-    /// the ready buffer; the `(time, seq)` sort there restores exact order, so cascade order
-    /// does not matter.
+    /// the ready heap; its `(time, seq)` order restores exact order, so cascade order does not
+    /// matter.
     fn cascade_entered_buckets(&mut self) {
         for level in (0..LEVELS).rev() {
             let shift = LEVEL_BITS * level as u32;
@@ -401,9 +396,9 @@ impl<E> EventQueue<E> {
         self.scratch = scratch;
     }
 
-    /// Merges overflow entries that are now due (tick ≤ cursor) into the ready buffer.
+    /// Merges overflow entries that are now due (tick ≤ cursor) into the ready heap.
     fn merge_due_overflow(&mut self) {
-        while let Some(&OverflowEntry(e)) = self.overflow.peek() {
+        while let Some(&HeapEntry(e)) = self.overflow.peek() {
             if !self.is_live(&e) {
                 self.overflow.pop();
                 continue;
@@ -412,7 +407,7 @@ impl<E> EventQueue<E> {
                 break;
             }
             self.overflow.pop();
-            self.ready_insert(e);
+            self.ready.push(HeapEntry(e));
         }
     }
 }
@@ -450,6 +445,36 @@ mod tests {
         q.push(SimTime::from_nanos(5), "early");
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, _, p)| p).collect();
         assert_eq!(order, vec!["early", "late"]);
+    }
+
+    #[test]
+    fn descending_burst_in_one_tick_pops_in_time_then_seq_order() {
+        // A lattice burst: 10k entries land in the tick the cursor is in, pushed latest-first
+        // (pairs share an instant), so every push carries the largest seq of the tick.
+        const N: u64 = 10_000;
+        let base = 1u64 << 30; // tick-aligned
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(base), N);
+        assert_eq!(
+            q.pop().map(|(_, _, p)| p),
+            Some(N),
+            "moves the cursor into the tick"
+        );
+        for i in 0..N {
+            q.push(SimTime::from_nanos(base + (N - 1 - i) / 2 * 13), i);
+        }
+        assert_eq!(
+            tick_of(SimTime::from_nanos(base + N * 13 / 2)),
+            tick_of(SimTime::from_nanos(base))
+        );
+        let popped: Vec<(SimTime, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|(t, id, _)| (t, id.raw()))
+            .collect();
+        assert_eq!(popped.len(), N as usize);
+        assert!(
+            popped.windows(2).all(|w| w[0] < w[1]),
+            "must pop in ascending (time, seq)"
+        );
     }
 
     #[test]

@@ -2,42 +2,33 @@
 
 use p2plab_sim::{Cdf, EventId, EventQueue, SimDuration, SimTime, Simulation, Summary, TimeSeries};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
-/// A trivially-correct reference queue: a vector scanned for the minimum `(time, seq)` on
-/// every pop. The timer wheel must be observation-equivalent to it under any interleaving of
-/// schedules, cancellations and pops.
+/// A trivially-correct reference queue: an ordered map keyed on `(time, seq)`, popped from
+/// its first key. The timer wheel must be observation-equivalent to it under any interleaving
+/// of schedules, cancellations and pops.
 #[derive(Default)]
 struct ModelQueue {
-    entries: Vec<(SimTime, u64, usize)>, // (time, seq, payload)
-    next_seq: u64,
+    entries: BTreeMap<(SimTime, u64), usize>, // (time, seq) -> payload
+    /// Scheduled time of every seq ever pushed (seqs are dense from 0).
+    times: Vec<SimTime>,
 }
 
 impl ModelQueue {
     fn push(&mut self, time: SimTime, payload: usize) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.entries.push((time, seq, payload));
+        let seq = self.times.len() as u64;
+        self.times.push(time);
+        self.entries.insert((time, seq), payload);
         seq
     }
 
     fn cancel(&mut self, seq: u64) -> bool {
-        match self.entries.iter().position(|&(_, s, _)| s == seq) {
-            Some(i) => {
-                self.entries.remove(i);
-                true
-            }
-            None => false,
-        }
+        let time = self.times[seq as usize];
+        self.entries.remove(&(time, seq)).is_some()
     }
 
     fn pop(&mut self) -> Option<(SimTime, usize)> {
-        let min = self
-            .entries
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &(t, s, _))| (t, s))?
-            .0;
-        let (t, _, p) = self.entries.remove(min);
+        let ((t, _), p) = self.entries.pop_first()?;
         Some((t, p))
     }
 }
@@ -68,6 +59,56 @@ impl Strategy for QueueOpStrategy {
             10 => QueueOp::Push(rng.gen_range(0u64..u64::MAX)),
             11 | 12 => QueueOp::Cancel(rng.gen_range(0usize..64)),
             _ => QueueOp::Pop,
+        }
+    }
+}
+
+/// One step of a lattice-burst workload: pushes cluster on a few shared instants, as periodic
+/// rounds over fixed link delays do.
+#[derive(Debug, Clone)]
+enum BurstOp {
+    /// Push `count` entries at the `ahead`-th lattice point at or after the model's clock,
+    /// each offset by up to `jitter` ns (0 = identical times), latest-first if `descending`.
+    Burst {
+        ahead: u64,
+        count: usize,
+        jitter: u64,
+        descending: bool,
+    },
+    /// Cancel `count` ids from position `from` on, counted over every id ever pushed (popped
+    /// and already-cancelled ids must fail to cancel in both queues).
+    Cancel { from: usize, count: usize },
+    /// Pop up to `count` events.
+    Pop(usize),
+}
+
+/// Lattice periods: one wheel tick (bursts land in the ready heap or level 0), 5 ms (76 ticks
+/// ahead: level 1, reaching the ready heap through a level-1 cascade) and 1 s (level 2).
+const LATTICE_PERIODS_NS: [u64; 3] = [65_536, 5_000_000, 1_000_000_000];
+
+struct BurstOpStrategy;
+
+impl Strategy for BurstOpStrategy {
+    type Value = BurstOp;
+    fn sample(&self, rng: &mut proptest::TestRng) -> BurstOp {
+        use rand::Rng;
+        match rng.gen_range(0u32..10) {
+            0..=4 => BurstOp::Burst {
+                ahead: rng.gen_range(0u64..3),
+                // Mostly tens to hundreds, sometimes thousands, of entries in one burst.
+                count: match rng.gen_range(0u32..8) {
+                    0 => rng.gen_range(1_000usize..3_000),
+                    1..=3 => rng.gen_range(100usize..1_000),
+                    _ => rng.gen_range(1usize..100),
+                },
+                jitter: [0, 0, 1_000, 60_000, 200_000][rng.gen_range(0usize..5)],
+                descending: rng.gen_range(0u32..2) == 0,
+            },
+            5 | 6 => BurstOp::Cancel {
+                from: rng.gen_range(0usize..100_000),
+                count: rng.gen_range(1usize..200),
+            },
+            _ => BurstOp::Pop(rng.gen_range(1usize..2_000)),
         }
     }
 }
@@ -146,6 +187,66 @@ proptest! {
                 break;
             }
         }
+    }
+
+    /// Lattice bursts — up to thousands of entries on a handful of instants, identical or
+    /// sub-tick apart, pushed directly into the current tick or arriving through level-1 and
+    /// level-2 cascades, interleaved with cancels and pops — leave the wheel
+    /// observation-equivalent to the reference model queue.
+    #[test]
+    fn lattice_bursts_match_the_reference_queue(
+        period_index in 0usize..3,
+        phase in 0u64..65_536,
+        ops in prop::collection::vec(BurstOpStrategy, 1..40),
+    ) {
+        let period = LATTICE_PERIODS_NS[period_index];
+        let mut wheel: EventQueue<usize> = EventQueue::new();
+        let mut model = ModelQueue::default();
+        // Wheel ids indexed by model seq (= payload).
+        let mut ids: Vec<EventId> = Vec::new();
+        let mut now = 0u64;
+        let check_pop = |wheel: &mut EventQueue<usize>, model: &mut ModelQueue, now: &mut u64| {
+            let got = wheel.pop().map(|(t, _, p)| (t, p));
+            prop_assert_eq!(got, model.pop());
+            if let Some((t, _)) = got {
+                *now = t.as_nanos();
+            }
+            got.is_some()
+        };
+        for op in &ops {
+            match *op {
+                BurstOp::Burst { ahead, count, jitter, descending } => {
+                    // First lattice point at or after the clock, then `ahead` periods on.
+                    let k = now.saturating_sub(phase).div_ceil(period) + ahead;
+                    let instant = phase + k * period;
+                    for i in 0..count as u64 {
+                        let rank = if descending { count as u64 - 1 - i } else { i };
+                        let offset = rank * jitter / count as u64;
+                        let time = SimTime::from_nanos(instant + offset);
+                        let payload = ids.len();
+                        ids.push(wheel.push(time, payload));
+                        prop_assert_eq!(model.push(time, payload), payload as u64);
+                    }
+                }
+                BurstOp::Cancel { from, count } => {
+                    if !ids.is_empty() {
+                        for seq in (from..from + count).map(|i| i % ids.len()) {
+                            prop_assert_eq!(wheel.cancel(ids[seq]), model.cancel(seq as u64));
+                        }
+                    }
+                }
+                BurstOp::Pop(count) => {
+                    for _ in 0..count {
+                        if !check_pop(&mut wheel, &mut model, &mut now) {
+                            break;
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(wheel.len(), model.entries.len());
+        }
+        while check_pop(&mut wheel, &mut model, &mut now) {}
+        prop_assert!(wheel.is_empty());
     }
 
     /// Cancelling an arbitrary subset removes exactly those events.

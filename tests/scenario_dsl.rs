@@ -3,8 +3,8 @@
 //! path, and a property test pins the spec → TOML → spec round-trip.
 
 use p2plab::core::{
-    fmt_duration, parse_duration, ArrivalSpec, ScenarioFile, SessionProcess, WorkloadConfig,
-    WORKLOAD_KINDS,
+    fmt_duration, parse_duration, ArrivalSpec, ScenarioError, ScenarioFile, SessionProcess,
+    WorkloadConfig, WORKLOAD_KINDS,
 };
 use p2plab::sim::SimDuration;
 use proptest::prelude::*;
@@ -96,6 +96,34 @@ fn missing_required_fields_report_key_path() {
     let err = ScenarioFile::parse(&text).unwrap_err();
     assert_eq!(err.path, "scenario.name", "{err}");
     assert!(err.message.contains("missing"), "{err}");
+}
+
+/// A zero gossip `round_interval` parses but must not validate: the error names the key.
+fn assert_zero_round_interval_rejected(rel: &str, key: &str) {
+    let text = example(rel).replace("round_interval = \"1s\"", "round_interval = \"0s\"");
+    let file = ScenarioFile::parse(&text).unwrap_or_else(|e| panic!("{rel}: {e}"));
+    match file.validate() {
+        Err(err @ ScenarioError::InvalidWorkloadParam { .. }) => {
+            assert!(err.to_string().contains(key), "{err}")
+        }
+        other => panic!("{rel}: zero round_interval must be rejected, got {other:?}"),
+    }
+}
+
+#[test]
+fn zero_gossip_round_interval_is_rejected() {
+    assert_zero_round_interval_rejected(
+        "scenarios/gossip_flash_crowd.toml",
+        "workload.gossip.round_interval",
+    );
+}
+
+#[test]
+fn zero_gossip_sharded_round_interval_is_rejected() {
+    assert_zero_round_interval_rejected(
+        "scenarios/gossip_sharded.toml",
+        "workload.gossip-sharded.round_interval",
+    );
 }
 
 proptest! {
