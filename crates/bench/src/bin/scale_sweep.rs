@@ -369,18 +369,12 @@ fn main() {
     // Shard-count invariance on the pin itself: the legacy swarm path accepts the `shards`
     // knob (running the reference engine regardless), so the report must be byte-identical —
     // wall-clock fields aside — at every value.
-    let canonical = |report: &RunReport| {
-        let mut r = report.clone();
-        r.wall_secs = 0.0;
-        r.events_per_sec = 0.0;
-        r.to_json()
-    };
     for shards in [2usize, 4] {
         let again = fig10_pin(smoke, shards);
         record(&mut rows, "swarm", again.vnodes, shards, &again);
         assert_eq!(
-            canonical(&fig10),
-            canonical(&again),
+            fig10.deterministic_json(),
+            again.deterministic_json(),
             "fig10 pin diverged between shards=1 and shards={shards}"
         );
     }

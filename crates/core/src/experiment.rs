@@ -9,14 +9,12 @@
 //! [`SwarmWorkload`]; [`run_swarm_experiment`] remains as a
 //! thin compatibility wrapper over it.
 
-use crate::scenario::{run_scenario, ScenarioBuilder};
+use crate::scenario::{run_scenario, ScenarioBuilder, SessionProcess};
 use crate::workloads::SwarmWorkload;
 use p2plab_bittorrent::ClientConfig;
 use p2plab_net::{AccessLinkClass, NetStats, TopologySpec};
 use p2plab_sim::{SimDuration, SimTime, TimeSeries};
 use serde::{Deserialize, Serialize};
-
-pub use crate::scenario::ChurnSpec;
 
 /// Description of one BitTorrent swarm experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -43,9 +41,9 @@ pub struct SwarmExperiment {
     pub deadline: SimDuration,
     /// Sampling period of the global "total data received" curve (Figure 9).
     pub sample_interval: SimDuration,
-    /// Optional node-churn model applied to the downloaders (an extension beyond the paper's
-    /// experiments, where clients stay online).
-    pub churn: Option<ChurnSpec>,
+    /// Optional node-churn (session) process applied to the downloaders (an extension beyond
+    /// the paper's experiments, where clients stay online).
+    pub churn: Option<SessionProcess>,
     /// RNG seed.
     pub seed: u64,
 }
@@ -146,17 +144,20 @@ impl SwarmExperiment {
     /// Panics when the config describes an invalid scenario (zero machines, zero deadline,
     /// zero sample interval, degenerate churn).
     pub fn to_scenario(&self) -> crate::scenario::ScenarioSpec {
-        ScenarioBuilder::new(
+        let mut builder = ScenarioBuilder::new(
             &self.name,
             TopologySpec::uniform(&self.name, self.total_vnodes(), self.link),
         )
         .machines(self.machines)
-        .churn_opt(self.churn)
         .deadline(self.deadline)
         .sample_interval(self.sample_interval)
-        .seed(self.seed)
-        .build()
-        .expect("swarm experiment config describes an invalid scenario")
+        .seed(self.seed);
+        if let Some(sessions) = &self.churn {
+            builder = builder.sessions(sessions.clone());
+        }
+        builder
+            .build()
+            .expect("swarm experiment config describes an invalid scenario")
     }
 }
 
@@ -341,7 +342,7 @@ mod tests {
         churny.name = "churn-on".into();
         // Sessions must be shorter than the ~37 s undisturbed download time, otherwise most
         // clients finish before their first departure and the comparison is pure noise.
-        churny.churn = Some(ChurnSpec {
+        churny.churn = Some(SessionProcess::Exponential {
             mean_session: SimDuration::from_secs(15),
             mean_downtime: SimDuration::from_secs(30),
         });

@@ -129,6 +129,17 @@ impl RunReport {
         out
     }
 
+    /// The report's JSON with the wall-clock fields (`wall_secs`, `events_per_sec`) zeroed:
+    /// the deterministic view that same-seed runs must reproduce byte for byte.
+    pub fn deterministic_json(&self) -> String {
+        RunReport {
+            wall_secs: 0.0,
+            events_per_sec: 0.0,
+            ..self.clone()
+        }
+        .to_json()
+    }
+
     /// Parses a schema-`v1` JSON report produced by [`RunReport::to_json`].
     pub fn from_json(text: &str) -> Result<RunReport, ReportError> {
         let root = Json::parse(text)?;
@@ -881,6 +892,18 @@ mod tests {
         assert_eq!(report, loaded);
         // And a second generation stays textually stable (writer is deterministic).
         assert_eq!(json, loaded.to_json());
+    }
+
+    #[test]
+    fn deterministic_json_ignores_only_wall_clock_fields() {
+        let a = sample_report();
+        let mut b = sample_report();
+        b.wall_secs = 7.5;
+        b.events_per_sec = 3.0;
+        assert_ne!(a.to_json(), b.to_json());
+        assert_eq!(a.deterministic_json(), b.deterministic_json());
+        b.events_executed -= 1;
+        assert_ne!(a.deterministic_json(), b.deterministic_json());
     }
 
     #[test]

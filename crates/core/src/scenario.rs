@@ -57,8 +57,8 @@ use std::rc::Rc;
 use std::time::Instant;
 
 pub use processes::{
-    schedule_session_chain, ArrivalProcess, ArrivalSchedule, ArrivalSpec, ChurnSpec,
-    FlashCrowdProcess, PoissonProcess, RampProcess, SessionAction, SessionProcess, TraceProcess,
+    schedule_session_chain, ArrivalProcess, ArrivalSchedule, ArrivalSpec, FlashCrowdProcess,
+    PoissonProcess, RampProcess, SessionAction, SessionProcess, TraceProcess,
 };
 
 /// An application that can be run by [`run_scenario`].
@@ -72,7 +72,7 @@ pub use processes::{
 ///    before any arrivals (seeders, servers, bootstrap nodes);
 /// 3. [`schedule_arrivals`](Workload::schedule_arrivals) schedules the participants joining
 ///    over time;
-/// 4. [`schedule_churn`](Workload::schedule_churn) (optional) applies a [`ChurnSpec`];
+/// 4. [`schedule_churn`](Workload::schedule_churn) (optional) applies a [`SessionProcess`];
 /// 5. [`sample`](Workload::sample) is called on the sampling grid and feeds the scenario's
 ///    global progress curve; [`is_complete`](Workload::is_complete) lets the runner stop
 ///    sampling once the workload is done;
@@ -215,6 +215,11 @@ pub struct ShardedOutcome {
     pub outcome: RunOutcome,
 }
 
+/// The most samples a scenario may ask for (`deadline / sample_interval`). The sampler is a
+/// periodic event, so a nanosecond interval under a minutes-long deadline would schedule
+/// ~10¹¹ events; the checked-in scenarios stay below 4,000.
+pub const MAX_SAMPLES: u64 = 1_000_000;
+
 /// A fully specified scenario, produced by [`ScenarioBuilder::build`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
@@ -279,6 +284,13 @@ pub enum ScenarioError {
     ZeroDeadline,
     /// The sampling interval is zero.
     ZeroSampleInterval,
+    /// `deadline / sample_interval` exceeds [`MAX_SAMPLES`].
+    TooManySamples {
+        /// The configured deadline.
+        deadline: SimDuration,
+        /// The configured sampling interval.
+        sample_interval: SimDuration,
+    },
     /// The shard count is zero.
     ZeroShards,
     /// The scenario asked for sharded execution but the combination cannot be sharded (e.g.
@@ -354,6 +366,15 @@ impl fmt::Display for ScenarioError {
             ScenarioError::ZeroSampleInterval => write!(
                 f,
                 "scenario sample interval must be positive (sample_interval = 0s)"
+            ),
+            ScenarioError::TooManySamples {
+                deadline,
+                sample_interval,
+            } => write!(
+                f,
+                "deadline = {deadline} with sample_interval = {sample_interval} asks for {} \
+                 samples (the cap is {MAX_SAMPLES})",
+                deadline.as_nanos() / sample_interval.as_nanos().max(1)
             ),
             ScenarioError::ZeroShards => {
                 write!(f, "scenario shard count must be positive (shards = 0)")
@@ -463,20 +484,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Applies an exponential churn model to the workload's participants (shorthand for
-    /// [`sessions`](ScenarioBuilder::sessions) with the exponential process).
-    pub fn churn(mut self, churn: ChurnSpec) -> Self {
-        self.spec.sessions = Some(churn.into());
-        self
-    }
-
-    /// Applies an optional churn model (convenience for porting configs that carry
-    /// `Option<ChurnSpec>`).
-    pub fn churn_opt(mut self, churn: Option<ChurnSpec>) -> Self {
-        self.spec.sessions = churn.map(SessionProcess::from);
-        self
-    }
-
     /// Sets the virtual-time deadline.
     pub fn deadline(mut self, deadline: SimDuration) -> Self {
         self.spec.deadline = deadline;
@@ -553,6 +560,12 @@ impl ScenarioSpec {
         }
         if self.sample_interval == SimDuration::ZERO {
             return Err(ScenarioError::ZeroSampleInterval);
+        }
+        if self.deadline.as_nanos() / self.sample_interval.as_nanos() > MAX_SAMPLES {
+            return Err(ScenarioError::TooManySamples {
+                deadline: self.deadline,
+                sample_interval: self.sample_interval,
+            });
         }
         if self.shards == 0 {
             return Err(ScenarioError::ZeroShards);
@@ -1053,6 +1066,13 @@ mod tests {
             .sample_interval(SimDuration::ZERO)
             .build();
         assert_eq!(err.unwrap_err(), ScenarioError::ZeroSampleInterval);
+        let err = ScenarioBuilder::new("bad", topo(2))
+            .sample_interval(SimDuration::from_nanos(1))
+            .build();
+        assert!(
+            matches!(err, Err(ScenarioError::TooManySamples { .. })),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -1082,7 +1102,7 @@ mod tests {
         // livelock `schedule_departure` by drawing zero-length exponential delays — the
         // depart/rejoin pair re-fired at the same instant until the event budget died.
         let err = ScenarioBuilder::new("bad", topo(4))
-            .churn(ChurnSpec {
+            .sessions(SessionProcess::Exponential {
                 mean_session: SimDuration::ZERO,
                 mean_downtime: SimDuration::from_secs(10),
             })
@@ -1092,7 +1112,7 @@ mod tests {
             "{err:?}"
         );
         let err = ScenarioBuilder::new("bad", topo(4))
-            .churn(ChurnSpec {
+            .sessions(SessionProcess::Exponential {
                 mean_session: SimDuration::from_secs(10),
                 mean_downtime: SimDuration::ZERO,
             })
@@ -1143,6 +1163,10 @@ mod tests {
             ScenarioError::EmptyTopology,
             ScenarioError::ZeroDeadline,
             ScenarioError::ZeroSampleInterval,
+            ScenarioError::TooManySamples {
+                deadline: SimDuration::from_secs(300),
+                sample_interval: SimDuration::from_nanos(1),
+            },
             ScenarioError::DeadlineBeforeArrivalRamp {
                 ramp: SimDuration::from_secs(2),
                 deadline: SimDuration::from_secs(1),
@@ -1209,6 +1233,15 @@ mod tests {
         assert!(ScenarioError::ZeroSampleInterval
             .to_string()
             .contains("sample_interval = 0s"));
+        let msg = ScenarioError::TooManySamples {
+            deadline: SimDuration::from_secs(300),
+            sample_interval: SimDuration::from_nanos(1),
+        }
+        .to_string();
+        assert!(
+            msg.contains("deadline = 300.000s") && msg.contains("sample_interval = 1ns"),
+            "{msg}"
+        );
         let msg = ScenarioError::DeadlineBeforeArrivalRamp {
             ramp: SimDuration::from_secs(2),
             deadline: SimDuration::from_secs(1),

@@ -13,9 +13,9 @@
 //!   [`ArrivalSchedule`] by [`run_scenario`](crate::scenario::run_scenario) (one arrival per
 //!   participant, drawn from a dedicated RNG stream so arrival sampling never perturbs the
 //!   simulation's other draws);
-//! * [`SessionProcess`] generalizes the original two-field [`ChurnSpec`]: exponential on/off
-//!   (the legacy behaviour, byte-identical draws), Pareto heavy-tailed sessions, or a
-//!   trace of `(session, downtime)` pairs replayed cyclically.
+//! * [`SessionProcess`] describes how long participants stay: exponential on/off sessions,
+//!   Pareto heavy-tailed sessions, or a trace of `(session, downtime)` pairs replayed
+//!   cyclically.
 //!
 //! **Convention:** arrival and churn schedules come from the scenario layer; workloads consume
 //! them through [`Workload::schedule_arrivals`](crate::scenario::Workload::schedule_arrivals)
@@ -25,18 +25,6 @@
 use p2plab_sim::{NoEvent, SimDuration, SimRng, SimTime, Simulation, TypedEvent};
 use serde::{Deserialize, Serialize};
 use std::rc::Rc;
-
-/// Node churn model: nodes alternate between online sessions and offline periods, both
-/// exponentially distributed. This is the original two-field churn description, kept as the
-/// ergonomic front door; it converts into the exponential variant of the more general
-/// [`SessionProcess`] (`SessionProcess::from(churn)`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ChurnSpec {
-    /// Mean online-session duration.
-    pub mean_session: SimDuration,
-    /// Mean offline duration between sessions.
-    pub mean_downtime: SimDuration,
-}
 
 /// A generator of participant arrival instants: the iterator half of the arrival library.
 ///
@@ -368,14 +356,13 @@ impl ArrivalSchedule {
 }
 
 /// On/off session process: how long a participant stays online before departing, and how long
-/// it stays away before rejoining. Generalizes [`ChurnSpec`] (which maps to the `Exponential`
-/// variant with byte-identical draws).
+/// it stays away before rejoining.
 ///
 /// Draws are indexed by the participant's session number `k` so that trace-driven processes
 /// can replay deterministically per node while the randomized variants simply ignore `k`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SessionProcess {
-    /// Exponential sessions and downtimes — the memoryless model of the original `ChurnSpec`.
+    /// Exponential sessions and downtimes — the memoryless churn model.
     Exponential {
         /// Mean online-session duration.
         mean_session: SimDuration,
@@ -398,15 +385,6 @@ pub enum SessionProcess {
         /// The replayed `(session, downtime)` pairs.
         pairs: Vec<(SimDuration, SimDuration)>,
     },
-}
-
-impl From<ChurnSpec> for SessionProcess {
-    fn from(churn: ChurnSpec) -> SessionProcess {
-        SessionProcess::Exponential {
-            mean_session: churn.mean_session,
-            mean_downtime: churn.mean_downtime,
-        }
-    }
 }
 
 impl SessionProcess {
@@ -619,26 +597,27 @@ mod tests {
     }
 
     #[test]
-    fn churn_spec_converts_to_exponential_sessions() {
-        let churn = ChurnSpec {
-            mean_session: SimDuration::from_secs(90),
-            mean_downtime: SimDuration::from_secs(45),
+    fn exponential_sessions_draw_one_exponential_each() {
+        let (mean_session, mean_downtime) =
+            (SimDuration::from_secs(90), SimDuration::from_secs(45));
+        let sessions = SessionProcess::Exponential {
+            mean_session,
+            mean_downtime,
         };
-        let sessions = SessionProcess::from(churn);
-        assert_eq!(sessions.mean_session(), SimDuration::from_secs(90));
-        // Byte-identity guard: the generalized process draws exactly what the legacy inline
-        // code drew (one rng.exponential per session/downtime, in the same order).
+        assert_eq!(sessions.mean_session(), mean_session);
+        // Byte-identity guard: the process draws exactly what the original inline churn code
+        // drew (one rng.exponential per session/downtime, in the same order).
         let mut a = rng();
         let mut b = rng();
         let s = sessions.session_at(0, &mut a);
         let d = sessions.downtime_at(0, &mut a);
         assert_eq!(
             s,
-            SimDuration::from_secs_f64(b.exponential(churn.mean_session.as_secs_f64()))
+            SimDuration::from_secs_f64(b.exponential(mean_session.as_secs_f64()))
         );
         assert_eq!(
             d,
-            SimDuration::from_secs_f64(b.exponential(churn.mean_downtime.as_secs_f64()))
+            SimDuration::from_secs_f64(b.exponential(mean_downtime.as_secs_f64()))
         );
     }
 

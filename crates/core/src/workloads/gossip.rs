@@ -499,7 +499,7 @@ impl Workload for GossipWorkload {
 mod tests {
     use super::*;
     use crate::adversary::{AdversaryPlan, Selection};
-    use crate::scenario::{run_reported, run_scenario, ChurnSpec, ScenarioBuilder};
+    use crate::scenario::{run_reported, run_scenario, ScenarioBuilder, SessionProcess};
     use p2plab_net::{AccessLinkClass, TopologySpec};
 
     fn lan(n: usize) -> TopologySpec {
@@ -569,7 +569,7 @@ mod tests {
     fn gossip_survives_churn() {
         let spec = GossipSpec::new("gossip-churn", 12);
         let s = scenario("gossip-churn", 12)
-            .churn(ChurnSpec {
+            .sessions(SessionProcess::Exponential {
                 mean_session: SimDuration::from_secs(20),
                 mean_downtime: SimDuration::from_secs(10),
             })

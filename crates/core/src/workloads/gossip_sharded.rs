@@ -707,7 +707,7 @@ impl GossipShardedWorkload {
 mod tests {
     use super::*;
     use crate::report::RunReport;
-    use crate::scenario::{run_reported, ChurnSpec, ScenarioBuilder};
+    use crate::scenario::{run_reported, ScenarioBuilder, SessionProcess};
     use p2plab_net::{AccessLinkClass, TopologySpec};
 
     fn lan(n: usize) -> TopologySpec {
@@ -779,14 +779,11 @@ mod tests {
             assert_eq!(reference.stopped_at, r.stopped_at);
             assert!(r.cross_messages > 0, "sharded run never crossed shards");
             // The full report artifact matches modulo wall-clock fields.
-            let canon = |mut rep: RunReport| {
-                rep.wall_secs = 0.0;
-                rep.events_per_sec = 0.0;
-                rep
-            };
-            let a = canon(report1.clone()).to_json();
-            let b = canon(report).to_json();
-            assert_eq!(a, b, "RunReport diverged at {shards} shards");
+            assert_eq!(
+                report1.deterministic_json(),
+                report.deterministic_json(),
+                "RunReport diverged at {shards} shards"
+            );
         }
     }
 
@@ -815,14 +812,9 @@ mod tests {
             assert_eq!(r.outcome, RunOutcome::Drained);
             assert_eq!(reference.informed_at, r.informed_at);
             assert_eq!(reference.events_executed, r.events_executed);
-            let canon = |mut rep: RunReport| {
-                rep.wall_secs = 0.0;
-                rep.events_per_sec = 0.0;
-                rep
-            };
             assert_eq!(
-                canon(report1.clone()).to_json(),
-                canon(report).to_json(),
+                report1.deterministic_json(),
+                report.deterministic_json(),
                 "capped RunReport diverged at {shards} shards"
             );
         }
@@ -859,14 +851,11 @@ mod tests {
             );
             assert_eq!(reference.events_executed, r.events_executed);
             assert_eq!(reference.duplicate_receipts, r.duplicate_receipts);
-            let canon = |mut rep: RunReport| {
-                rep.wall_secs = 0.0;
-                rep.events_per_sec = 0.0;
-                rep
-            };
-            let a = canon(report1.clone()).to_json();
-            let b = canon(report).to_json();
-            assert_eq!(a, b, "adversarial RunReport diverged at {shards} shards");
+            assert_eq!(
+                report1.deterministic_json(),
+                report.deterministic_json(),
+                "adversarial RunReport diverged at {shards} shards"
+            );
         }
     }
 
@@ -874,7 +863,7 @@ mod tests {
     fn churn_is_rejected_under_sharding() {
         let spec = GossipShardedSpec::new("gossip-churn", 8);
         let s = scenario("gossip-churn", 8, 2)
-            .churn(ChurnSpec {
+            .sessions(SessionProcess::Exponential {
                 mean_session: SimDuration::from_secs(20),
                 mean_downtime: SimDuration::from_secs(10),
             })

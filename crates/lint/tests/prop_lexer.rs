@@ -52,7 +52,7 @@ const SOUP: &[&str] = &[
     "todo",
     "Instant",
     "now",
-    "SockEvent",
+    "Behavior",
     "lint:allow(nondet-hash)",
     "—",
     "0xff",

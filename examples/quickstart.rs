@@ -41,7 +41,6 @@ fn main() {
     )
     .machines(cfg.machines)
     .arrival_ramp(workload.arrival_ramp())
-    .churn_opt(cfg.churn)
     .deadline(cfg.deadline)
     .sample_interval(cfg.sample_interval)
     .seed(cfg.seed)

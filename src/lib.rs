@@ -37,7 +37,6 @@
 //!     TopologySpec::uniform(&cfg.name, cfg.total_vnodes(), cfg.link),
 //! )
 //! .machines(cfg.machines)
-//! .churn_opt(cfg.churn)
 //! .deadline(cfg.deadline)
 //! .sample_interval(cfg.sample_interval)
 //! .seed(cfg.seed)
@@ -64,8 +63,8 @@ pub use p2plab_sim as sim;
 pub mod prelude {
     pub use p2plab_bittorrent::{ClientConfig, SwarmWorld, Torrent};
     pub use p2plab_core::{
-        compare_folding, deploy, run_scenario, run_swarm_experiment, ArrivalSpec, ChurnSpec,
-        DeploymentSpec, DhtLookupSpec, DhtLookupWorkload, GossipSpec, GossipWorkload, PingMeshSpec,
+        compare_folding, deploy, run_scenario, run_swarm_experiment, ArrivalSpec, DeploymentSpec,
+        DhtLookupSpec, DhtLookupWorkload, GossipSpec, GossipWorkload, PingMeshSpec,
         PingMeshWorkload, ScenarioBuilder, SessionProcess, SwarmExperiment, SwarmResult,
         SwarmWorkload, Workload,
     };

@@ -59,11 +59,6 @@ fn ci_smoke_byzantine_cell_is_shard_count_invariant() {
         cell.file.spec.shards = shards;
         cell.file.run().expect("byzantine cell runs")
     };
-    let canon = |mut rep: RunReport| {
-        rep.wall_secs = 0.0;
-        rep.events_per_sec = 0.0;
-        rep
-    };
     let one = run_at(1);
     assert_eq!(one.outcome, RunOutcome::Drained, "--strict needs a drain");
     assert!(one.metrics.counter("byzantine_msgs_sent").unwrap() > 0);
@@ -71,8 +66,8 @@ fn ci_smoke_byzantine_cell_is_shard_count_invariant() {
     assert!(one.metrics.counter("invariants_checked").unwrap() > 0);
     let four = run_at(4);
     assert_eq!(
-        canon(one).to_json(),
-        canon(four).to_json(),
+        one.deterministic_json(),
+        four.deterministic_json(),
         "byzantine RunReport diverged between 1 and 4 shards"
     );
 }

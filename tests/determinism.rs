@@ -7,19 +7,12 @@
 //! `events_per_sec`) are the two sanctioned nondeterministic fields — they are zeroed before
 //! comparison, exactly as the campaign summary excludes them.
 
-use p2plab::core::{CampaignSpec, RunReport};
+use p2plab::core::CampaignSpec;
 use std::path::PathBuf;
 
 fn ci_smoke() -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/campaigns/ci_smoke.toml");
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
-}
-
-/// Zeroes the two wall-clock-derived fields; everything else must match to the byte.
-fn canonical_bytes(mut report: RunReport) -> String {
-    report.wall_secs = 0.0;
-    report.events_per_sec = 0.0;
-    report.to_json()
 }
 
 /// Runs the first cell of the CI smoke campaign twice in-process with the same seed: event
@@ -34,8 +27,8 @@ fn same_seed_same_cell_yields_identical_report_bytes() {
     let second = cell.file.run().expect("second run");
 
     assert!(first.events_executed > 0, "smoke cell must execute events");
-    let a = canonical_bytes(first);
-    let b = canonical_bytes(second);
+    let a = first.deterministic_json();
+    let b = second.deterministic_json();
     assert!(
         a == b,
         "two same-seed runs of cell `{}` diverged — a nondeterminism source escaped the lint",
@@ -65,8 +58,8 @@ fn same_seed_adversarial_cell_yields_identical_report_bytes() {
         "the adversary must actually act for this pin to mean anything"
     );
     assert_eq!(first.metrics.counter("invariant_violations"), Some(0));
-    let a = canonical_bytes(first);
-    let b = canonical_bytes(second);
+    let a = first.deterministic_json();
+    let b = second.deterministic_json();
     assert!(
         a == b,
         "two same-seed adversarial runs of `{}` diverged — a behavior drew outside its split stream",
@@ -93,8 +86,8 @@ fn shard_count_does_not_change_report_bytes() {
     let at_four = sharded.run().expect("shards=4 run");
 
     assert!(at_one.events_executed > 0, "smoke cell must execute events");
-    let a = canonical_bytes(at_one);
-    let b = canonical_bytes(at_four);
+    let a = at_one.deterministic_json();
+    let b = at_four.deterministic_json();
     assert!(
         a == b,
         "cell `{}` diverged between shards=1 and shards=4 — sharding leaked into the report",

@@ -3,31 +3,32 @@
 //! `run_swarm_experiment` wrapper must stay byte-identical to an explicit scenario run.
 
 use p2plab::core::{
-    run_scenario, run_swarm_experiment, ArrivalSpec, ChurnSpec, GossipSpec, GossipWorkload,
-    PingMeshSpec, PingMeshWorkload, ScenarioBuilder, ScenarioError, SessionProcess,
-    SwarmExperiment, SwarmWorkload,
+    run_scenario, run_swarm_experiment, ArrivalSpec, GossipSpec, GossipWorkload, PingMeshSpec,
+    PingMeshWorkload, ScenarioBuilder, ScenarioError, SessionProcess, SwarmExperiment,
+    SwarmWorkload,
 };
 use p2plab::net::{AccessLinkClass, TopologySpec};
 use p2plab::sim::SimDuration;
 
 /// Builds the scenario spec equivalent to what the legacy wrapper constructs internally.
 fn swarm_scenario(cfg: &SwarmExperiment) -> p2plab::core::ScenarioSpec {
-    ScenarioBuilder::new(
+    let mut builder = ScenarioBuilder::new(
         &cfg.name,
         TopologySpec::uniform(&cfg.name, cfg.total_vnodes(), cfg.link),
     )
     .machines(cfg.machines)
-    .churn_opt(cfg.churn)
     .deadline(cfg.deadline)
     .sample_interval(cfg.sample_interval)
-    .seed(cfg.seed)
-    .build()
-    .expect("valid scenario")
+    .seed(cfg.seed);
+    if let Some(sessions) = &cfg.churn {
+        builder = builder.sessions(sessions.clone());
+    }
+    builder.build().expect("valid scenario")
 }
 
 #[test]
 fn legacy_wrapper_and_scenario_run_are_byte_identical() {
-    // The determinism guard of the API redesign: for the same seed, the deprecated
+    // The determinism guard of the API redesign: for the same seed, the legacy
     // `run_swarm_experiment` wrapper and an explicit `run_scenario` with the swarm workload
     // must produce identical results in every observable field.
     let mut cfg = SwarmExperiment::quick();
@@ -59,7 +60,7 @@ fn byte_identity_survives_churn() {
     let mut cfg = SwarmExperiment::quick();
     cfg.name = "determinism-guard-churn".into();
     cfg.leechers = 6;
-    cfg.churn = Some(ChurnSpec {
+    cfg.churn = Some(SessionProcess::Exponential {
         mean_session: SimDuration::from_secs(20),
         mean_downtime: SimDuration::from_secs(20),
     });
@@ -158,15 +159,14 @@ fn degenerate_churn_is_rejected_not_livelocked() {
     // budget died. It must now be rejected by validation before the run starts.
     let mut cfg = SwarmExperiment::quick();
     cfg.leechers = 2;
-    cfg.churn = Some(ChurnSpec {
-        mean_session: SimDuration::ZERO,
-        mean_downtime: SimDuration::ZERO,
-    });
     let err = ScenarioBuilder::new(
         &cfg.name,
         TopologySpec::uniform(&cfg.name, cfg.total_vnodes(), cfg.link),
     )
-    .churn_opt(cfg.churn)
+    .sessions(SessionProcess::Exponential {
+        mean_session: SimDuration::ZERO,
+        mean_downtime: SimDuration::ZERO,
+    })
     .deadline(cfg.deadline)
     .build()
     .unwrap_err();

@@ -126,6 +126,25 @@ fn zero_gossip_sharded_round_interval_is_rejected() {
     );
 }
 
+/// `sample_interval = "1ns"` under the example's 300 s deadline parses, but would schedule
+/// 3·10¹¹ sampler events: it must not validate, and the error names both keys.
+#[test]
+fn sample_interval_far_below_the_deadline_is_rejected() {
+    let text = example("scenarios/gossip_flash_crowd.toml")
+        .replace("sample_interval = \"1s\"", "sample_interval = \"1ns\"");
+    let file = ScenarioFile::parse(&text).expect("parses");
+    match file.validate() {
+        Err(err @ ScenarioError::TooManySamples { .. }) => {
+            let msg = err.to_string();
+            assert!(
+                msg.contains("deadline") && msg.contains("sample_interval = 1ns"),
+                "{msg}"
+            );
+        }
+        other => panic!("a 1ns sample_interval must be rejected, got {other:?}"),
+    }
+}
+
 proptest! {
     /// Durations survive format → parse for any nanosecond count.
     #[test]
