@@ -1,10 +1,11 @@
 //! The standing scale/performance baseline: swarm, ping-mesh and gossip scenarios at
 //! 10^3–10^5 virtual nodes — plus the protocol-depth A/B (`figure10-proto-*`: the fig10 swarm
 //! under burst loss with fragmentation active, legacy vs AIMD congestion control) and the
-//! shard axis (the 50k sharded-gossip configuration on 1 vs 2 event-loop threads, the fig10
-//! pin at `shards` 1/2/4, and — full sweep only — a 10^6-vnode sharded gossip on 4 threads) —
-//! each emitting its `RunReport` under `results/` and summarized as `results/scale_sweep.csv`
-//! (which carries a `shards` column).
+//! shard axis (the 50k sharded-gossip configuration on 1 vs 2 event-loop threads and — full
+//! sweep only — a 10^6-vnode sharded gossip on 4 threads) — each emitting its `RunReport`
+//! under `results/` and summarized as `results/scale_sweep.csv` (which carries a `shards`
+//! column). The fig10 pin runs once, at `shards = 1`: the swarm workload ignores the knob, and
+//! `tests/determinism.rs` already checks that a swarm cell's report does not depend on it.
 //!
 //! ```text
 //! # full sweep (1k/10k/50k gossip, 1k/10k mesh and swarm, fig10 throughput pin):
@@ -267,10 +268,9 @@ fn swarm(clients: usize, smoke: bool) -> RunReport {
 /// The fig10 throughput pin: the paper's Figure 10 swarm at quarter scale (1439 clients,
 /// 16 MiB file) — the configuration whose events/sec is compared against the committed
 /// pre-refactor baseline report.
-fn fig10_pin(smoke: bool, shards: usize) -> RunReport {
+fn fig10_pin(smoke: bool) -> RunReport {
     let cfg = SwarmExperiment::paper_figure10(0.25);
     let mut scenario = cfg.to_scenario();
-    scenario.shards = shards;
     if smoke {
         scenario.event_budget = Some(120_000_000);
     }
@@ -320,7 +320,11 @@ fn fig10_proto(kind: CcKind, smoke: bool) -> RunReport {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let sweep_start = Instant::now(); // lint:allow(wall-clock) — the sweep's wall cap is real time by definition
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the sweep's wall cap is real time by definition"
+    )]
+    let sweep_start = Instant::now();
     let mut rows: Vec<SweepRow> = Vec::new();
 
     for nodes in [1_000, 10_000] {
@@ -364,20 +368,8 @@ fn main() {
         let report = swarm(clients, smoke);
         record(&mut rows, "swarm", clients, 1, &report);
     }
-    let fig10 = fig10_pin(smoke, 1);
+    let fig10 = fig10_pin(smoke);
     record(&mut rows, "swarm", fig10.vnodes, 1, &fig10);
-    // Shard-count invariance on the pin itself: the legacy swarm path accepts the `shards`
-    // knob (running the reference engine regardless), so the report must be byte-identical —
-    // wall-clock fields aside — at every value.
-    for shards in [2usize, 4] {
-        let again = fig10_pin(smoke, shards);
-        record(&mut rows, "swarm", again.vnodes, shards, &again);
-        assert_eq!(
-            fig10.deterministic_json(),
-            again.deterministic_json(),
-            "fig10 pin diverged between shards=1 and shards={shards}"
-        );
-    }
     for kind in [CcKind::Legacy, CcKind::Aimd] {
         let report = fig10_proto(kind, smoke);
         record(&mut rows, "swarm-proto", report.vnodes, 1, &report);

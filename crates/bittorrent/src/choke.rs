@@ -212,7 +212,7 @@ mod tests {
         // Many equal peers with zero rates: the three regular slots are arbitrary, the
         // optimistic one must visit different peers over many rounds.
         let peers: Vec<PeerSnapshot> = (0..20).map(|i| peer(i, true, 0.0, 0.0)).collect();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..30 {
             choker.run_round(&peers, false, &mut rng);
             if let Some(o) = choker.optimistic() {

@@ -34,7 +34,7 @@ proptest! {
     #[test]
     fn bitfield_count_matches_contents(len in 1u32..500, ops in prop::collection::vec((any::<bool>(), 0u32..500), 0..300)) {
         let mut bf = Bitfield::new(len);
-        let mut reference = std::collections::HashSet::new();
+        let mut reference = std::collections::BTreeSet::new();
         for (set, idx) in ops {
             let idx = idx % len;
             if set {

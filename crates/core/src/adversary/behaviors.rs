@@ -16,11 +16,22 @@ use p2plab_sim::SimDuration;
 
 /// One named, composable misbehavior policy.
 ///
-/// Implementations must be stateless: they only fold constants into the flag structs. All
-/// implementations live in this module (`adversary/`) — a convention enforced by
-/// `p2plab-lint`'s `behavior-outside-adversary` rule, so hostile policy code never sits inside
-/// honest protocol paths.
-pub trait Behavior: std::fmt::Debug {
+/// Implementations must be stateless: they only fold constants into the flag structs. The
+/// trait is sealed: every implementation lives in this module, next to the DSL's name registry
+/// and the split-RNG seeding, so hostile policy code never sits inside honest protocol paths.
+/// An impl anywhere else does not compile:
+///
+/// ```compile_fail,E0277
+/// #[derive(Debug)]
+/// struct Evil;
+///
+/// impl p2plab_core::Behavior for Evil {
+///     fn name(&self) -> &'static str {
+///         "evil"
+///     }
+/// }
+/// ```
+pub trait Behavior: sealed::Sealed + std::fmt::Debug {
     /// The stable name the DSL's `[adversary] behaviors = [...]` list uses.
     fn name(&self) -> &'static str;
 
@@ -29,6 +40,20 @@ pub trait Behavior: std::fmt::Debug {
 
     /// Folds this behavior's application-level deviations into `flags`.
     fn apply(&self, _flags: &mut Misbehavior) {}
+}
+
+mod sealed {
+    /// The supertrait that seals [`Behavior`](super::Behavior): it cannot be named outside
+    /// this module, so neither trait can be implemented there.
+    pub trait Sealed {}
+
+    impl Sealed for super::AckWithhold {}
+    impl Sealed for super::GarbageBitfield {}
+    impl Sealed for super::CorruptReplies {}
+    impl Sealed for super::SilentDrop {}
+    impl Sealed for super::ReplyDelay {}
+    impl Sealed for super::Amplify {}
+    impl Sealed for super::Equivocate {}
 }
 
 /// Never answer data requests (ack/serve withholding — a free-rider that takes and gives

@@ -732,7 +732,11 @@ fn run_scenario_inner<W: Workload + 'static>(
     workload: W,
     want_report: bool,
 ) -> Result<(W::Output, Option<RunReport>), ScenarioError> {
-    let wall_start = Instant::now(); // lint:allow(wall-clock) — the runner's one sanctioned site: RunReport.wall_secs/events_per_sec
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the runner's one sanctioned wall-clock site: RunReport.wall_secs/events_per_sec"
+    )]
+    let wall_start = Instant::now();
     spec.validate()?;
     let needed = workload.vnodes_required();
     let available = spec.topology.total_nodes();

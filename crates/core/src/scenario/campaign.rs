@@ -334,6 +334,11 @@ pub fn run_campaign(
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Result<RunReport, ScenarioError>>>> =
         cells.iter().map(|_| Mutex::new(None)).collect();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the campaign pool: each thread runs whole, independent simulations and results \
+                  are indexed by cell, never by completion order"
+    )]
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {

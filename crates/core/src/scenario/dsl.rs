@@ -982,7 +982,6 @@ fn check_rate(rate: f64, line: usize, path: &str) -> Result<(), DslError> {
 /// (asymmetric, eclipse-style degradation: a direction with its own sub-table ignores the base
 /// knobs entirely). A `preset` key is exclusive with the explicit knobs at any level; the three
 /// `burst_*` keys come as a full set or not at all.
-#[allow(clippy::type_complexity)] // lint:allow(bare-allow) — (base, down, up) triple is local to the two call sites
 fn parse_condition(
     table: &TomlTable,
 ) -> Result<(LinkCondition, Option<LinkCondition>, Option<LinkCondition>), DslError> {

@@ -277,13 +277,17 @@ impl ShardWorld for GossipShard {
     }
 }
 
-/// Pushes the rumor from `node` to `fanout` random peers. The delivery delay is derived from
-/// sender-local state only: each datagram serializes on the sender's uplink (FIFO behind the
-/// node's previous sends), then travels both endpoints' access latencies — always at least the
-/// run's conservative lookahead of twice the minimum access latency.
+/// Pushes the rumor from `node` to `fanout` random peers; a lone node has none and pushes
+/// nothing. The delivery delay is derived from sender-local state only: each datagram
+/// serializes on the sender's uplink (FIFO behind the node's previous sends), then travels both
+/// endpoints' access latencies — always at least the run's conservative lookahead of twice the
+/// minimum access latency.
 fn push_rumors(sim: &mut ShardSim<GossipShard>, now: SimTime, node: usize, hops: u32) {
     let world = sim.model();
     let n = world.nodes;
+    if n < 2 {
+        return;
+    }
     let fanout = world.fanout;
     let shards = world.shards;
     let l = world.local(node);
@@ -856,6 +860,20 @@ mod tests {
                 report.deterministic_json(),
                 "adversarial RunReport diverged at {shards} shards"
             );
+        }
+    }
+
+    #[test]
+    fn a_lone_node_ends_cleanly_at_any_shard_count() {
+        for shards in [1, 4] {
+            let spec = GossipShardedSpec {
+                nodes: 1,
+                ..GossipShardedSpec::new("gossip-lone", 2)
+            };
+            let s = scenario("gossip-lone", 1, shards).build().unwrap();
+            let (r, _) = run_reported(&s, GossipShardedWorkload::new(spec)).unwrap();
+            assert_eq!(r.informed, 1, "shards={shards}");
+            assert_eq!(r.rumors_sent, 0, "shards={shards}");
         }
     }
 

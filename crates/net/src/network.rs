@@ -22,8 +22,6 @@ use crate::topology::{GroupId, GroupSpec, TopologySpec};
 use p2plab_os::SyscallCostModel;
 use p2plab_sim::{FxHashMap, FxHashSet, SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
-// lint:allow(nondet-hash) — every instantiation pins `BuildHasherDefault<PathKeyHasher>`, a fixed deterministic hasher
-use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
 /// Index of a physical machine in the network.
@@ -152,6 +150,13 @@ struct CachedPath {
 /// could classify differently) the memo disables itself and every packet falls back to the
 /// plain linear walk. Statistics are charged per packet either way, so `FirewallStats` is
 /// byte-identical with and without the memo.
+/// A path memo table keyed by a packed `(host address, group)` pair.
+#[expect(
+    clippy::disallowed_types,
+    reason = "pins `BuildHasherDefault<PathKeyHasher>`, a fixed deterministic hasher"
+)]
+type PathMap = std::collections::HashMap<u64, CachedPath, BuildHasherDefault<PathKeyHasher>>;
+
 #[derive(Debug, Clone, Default)]
 struct PathMemo {
     /// Firewall rule-set version the memo matches; 0 = never built.
@@ -161,9 +166,9 @@ struct PathMemo {
     /// Whether `(src group, dst host)` granularity is sound for incoming classification.
     in_usable: bool,
     /// Outgoing paths: key packs `(src host address, dst group)`.
-    out: HashMap<u64, CachedPath, BuildHasherDefault<PathKeyHasher>>,
+    out: PathMap,
     /// Incoming paths: key packs `(dst host address, src group)`.
-    inbound: HashMap<u64, CachedPath, BuildHasherDefault<PathKeyHasher>>,
+    inbound: PathMap,
 }
 
 /// True when `subnet` never cuts through a group: for every group it either covers the whole

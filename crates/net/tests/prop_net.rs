@@ -18,7 +18,7 @@ proptest! {
     fn subnet_hosts_are_members(base in any::<u32>(), prefix in 8u8..=30, count in 1u32..100) {
         let subnet = Subnet::new(VirtAddr(base), prefix);
         let count = count.min(subnet.size().saturating_sub(1) as u32);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..count {
             let h = subnet.host_at(i);
             prop_assert!(subnet.contains(h), "{h} not in {subnet}");

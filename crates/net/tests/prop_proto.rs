@@ -58,9 +58,9 @@ proptest! {
         frags in prop::collection::vec((0u16..64, any::<u16>(), 0u16..40), 1..400),
     ) {
         let mut r = Reassembler::default();
-        let mut completed = std::collections::HashSet::new();
-        let mut seen: std::collections::HashMap<u16, std::collections::HashSet<u16>> =
-            std::collections::HashMap::new();
+        let mut completed = std::collections::BTreeSet::new();
+        let mut seen: std::collections::BTreeMap<u16, std::collections::BTreeSet<u16>> =
+            std::collections::BTreeMap::new();
         for (msg, index, count) in frags {
             match r.accept(msg, index, count) {
                 FragOutcome::Complete => {
@@ -86,7 +86,7 @@ proptest! {
     #[test]
     fn ack_bitfield_is_sound(seqs in prop::collection::vec(any::<u16>(), 1..200)) {
         let mut t = AckTracker::default();
-        let mut recorded = std::collections::HashSet::new();
+        let mut recorded = std::collections::BTreeSet::new();
         for s in &seqs {
             t.record(*s);
             recorded.insert(*s);
@@ -111,7 +111,7 @@ proptest! {
         for (i, &bytes) in sends.iter().enumerate() {
             w.on_sent(i as u16, bytes, SimTime::ZERO);
         }
-        let mut acked = std::collections::HashSet::new();
+        let mut acked = std::collections::BTreeSet::new();
         let mut acked_bytes = 0u64;
         for (latest, bits) in acks {
             w.on_ack(&AckBitfield { latest, bits }, |wire_bytes, _sent_at| {

@@ -1,13 +1,14 @@
 //! Deterministic multi-core execution: the sharded event-loop runtime.
 //!
-//! This module is the **sanctioned home of real OS threads** in the simulation path (the
-//! `raw-thread` lint rule points here). It runs K independent [`Simulation`]s — one per shard,
-//! each with its own timer-wheel queue — synchronized Chandy–Misra style by a **conservative
-//! lookahead window**: every cross-shard interaction is a time-stamped message with a delivery
-//! delay of at least the lookahead `L`, so a shard can execute a whole window of virtual time
-//! `[k·L, (k+1)·L)` without observing its neighbours. At each window boundary the shards
-//! exchange envelopes, merge them into their queues in deterministic `(time, tag, seq)` order,
-//! and jointly pick the next window (fast-forwarding over globally empty ones).
+//! This module is the **sanctioned home of real OS threads** in the simulation path (one of
+//! the two sites that waive clippy.toml's `std::thread` ban). It runs K independent
+//! [`Simulation`]s — one per shard, each with its own timer-wheel queue — synchronized
+//! Chandy–Misra style by a **conservative lookahead window**: every cross-shard interaction is
+//! a time-stamped message with a delivery delay of at least the lookahead `L`, so a shard can
+//! execute a whole window of virtual time `[k·L, (k+1)·L)` without observing its neighbours.
+//! At each window boundary the shards exchange envelopes, merge them into their queues in
+//! deterministic `(time, tag, seq)` order, and jointly pick the next window (fast-forwarding
+//! over globally empty ones).
 //!
 //! # The determinism contract
 //!
@@ -37,6 +38,8 @@ use crate::engine::{RunOutcome, Simulation, TypedEvent};
 use crate::hash::FxHashMap;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Barrier, Mutex};
 
 /// The world type a shard-native workload plugs into the runtime.
@@ -289,7 +292,11 @@ pub struct ShardRun<W> {
 /// What every thread independently (and identically) concludes at a window boundary.
 enum Decision {
     Stop(ShardOutcome),
-    Window { end: SimTime },
+    /// A shard panicked: every thread leaves the loop and the panic is re-raised.
+    Abort,
+    Window {
+        end: SimTime,
+    },
 }
 
 /// Per-shard state published at each boundary, read by every thread to reach the same
@@ -299,6 +306,17 @@ struct Status {
     next: Option<SimTime>,
     executed: u64,
     progress: u64,
+    /// The shard panicked and holds no simulation any more.
+    failed: bool,
+}
+
+impl Status {
+    const FAILED: Status = Status {
+        next: None,
+        executed: 0,
+        progress: 0,
+        failed: true,
+    };
 }
 
 /// The state shared between shard threads for one run.
@@ -306,11 +324,44 @@ struct Shared<M> {
     mailboxes: Vec<Mutex<Vec<Envelope<M>>>>,
     statuses: Vec<Mutex<Status>>,
     barrier: Barrier,
+    /// The first panic caught in any shard, re-raised once every shard has stopped.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl<M> Shared<M> {
+    /// Keeps a shard's panic payload for re-raising; the first one wins.
+    fn park(&self, payload: Box<dyn Any + Send>) {
+        self.panic
+            .lock()
+            .expect("the panic slot is never held across a panic")
+            .get_or_insert(payload);
+    }
+}
+
+/// Runs one step of a shard's work on its simulation, unless an earlier step panicked. A panic
+/// is parked in `shared` and the simulation dropped: the shard keeps joining the barriers with
+/// a failed status, so its peers stop at the next boundary instead of waiting for it forever.
+fn guarded<W: ShardWorld, R>(
+    sim: &mut Option<ShardSim<W>>,
+    shared: &Shared<W::Msg>,
+    f: impl FnOnce(&mut ShardSim<W>) -> R,
+) -> Option<R> {
+    match panic::catch_unwind(AssertUnwindSafe(|| sim.as_mut().map(f))) {
+        Ok(result) => result,
+        Err(payload) => {
+            *sim = None;
+            shared.park(payload);
+            None
+        }
+    }
 }
 
 /// Computes the boundary decision from the published statuses. Pure integer function of
 /// identical inputs, so every thread reaches the same conclusion without a coordinator.
 fn decide(statuses: &[Status], cfg: &ShardConfig) -> Decision {
+    if statuses.iter().any(|s| s.failed) {
+        return Decision::Abort;
+    }
     let executed = statuses
         .iter()
         .fold(0u64, |a, s| a.saturating_add(s.executed));
@@ -353,27 +404,33 @@ struct ShardExit<W> {
     cross_messages: u64,
 }
 
-/// One shard's thread body: the window loop between barriers.
+/// One shard's thread body: the window loop between barriers. Returns `None` when a shard
+/// panicked; the payload is parked in `shared`.
 fn run_shard<W: ShardWorld>(
     idx: usize,
     cfg: &ShardConfig,
     shared: &Shared<W::Msg>,
     build: &(impl Fn(usize) -> W + Sync),
     init: &(impl Fn(&mut ShardSim<W>) + Sync),
-) -> ShardExit<W> {
-    let shard_seed = SimRng::new(cfg.seed).split_u64(idx as u64).seed();
-    let host = ShardHost::new(build(idx), idx, cfg.shards, cfg.lookahead);
-    let mut sim: ShardSim<W> = Simulation::with_events(host, shard_seed);
-    init(&mut sim);
+) -> Option<ShardExit<W>> {
+    let built = panic::catch_unwind(AssertUnwindSafe(|| {
+        let shard_seed = SimRng::new(cfg.seed).split_u64(idx as u64).seed();
+        let host = ShardHost::new(build(idx), idx, cfg.shards, cfg.lookahead);
+        let mut sim: ShardSim<W> = Simulation::with_events(host, shard_seed);
+        init(&mut sim);
+        sim
+    }));
+    let mut sim = built.map_err(|payload| shared.park(payload)).ok();
 
     let mut windows = 0u64;
-    let publish = |sim: &mut ShardSim<W>| {
-        let status = Status {
+    let publish = |sim: &mut Option<ShardSim<W>>| {
+        let status = guarded(sim, shared, |sim| Status {
             next: sim.next_event_time(),
             executed: sim.executed_events(),
             progress: sim.world().world().progress(),
-        };
-        *shared.statuses[idx].lock().unwrap() = status;
+            failed: false,
+        });
+        *shared.statuses[idx].lock().unwrap() = status.unwrap_or(Status::FAILED);
     };
 
     // Initial boundary: seeds may already be in the queue; nothing to merge yet.
@@ -383,24 +440,26 @@ fn run_shard<W: ShardWorld>(
     let outcome = loop {
         let statuses: Vec<Status> = shared.statuses.iter().map(|s| *s.lock().unwrap()).collect();
         let end = match decide(&statuses, cfg) {
-            Decision::Stop(outcome) => break outcome,
+            Decision::Stop(outcome) => break Some(outcome),
+            Decision::Abort => break None,
             Decision::Window { end } => end,
         };
         windows += 1;
-        if cfg.event_budget != u64::MAX {
-            // Runaway protection inside the window: a shard may spend at most the remaining
-            // global budget (the authoritative check is the summed one at the boundary).
-            let global = statuses
-                .iter()
-                .fold(0u64, |a, s| a.saturating_add(s.executed));
-            let remaining = cfg.event_budget - global;
-            sim.set_event_budget(sim.executed_events().saturating_add(remaining));
-        }
-        sim.run_before(end);
+        guarded(&mut sim, shared, |sim| {
+            if cfg.event_budget != u64::MAX {
+                // Runaway protection inside the window: a shard may spend at most the
+                // remaining global budget (the authoritative check is the summed one at the
+                // boundary).
+                let global = statuses
+                    .iter()
+                    .fold(0u64, |a, s| a.saturating_add(s.executed));
+                let remaining = cfg.event_budget - global;
+                sim.set_event_budget(sim.executed_events().saturating_add(remaining));
+            }
+            sim.run_before(end);
 
-        // Flush this window's envelopes to the destination mailboxes. Append order across
-        // source shards is racy; the sort at injection restores the canonical order.
-        {
+            // Flush this window's envelopes to the destination mailboxes. Append order across
+            // source shards is racy; the sort at injection restores the canonical order.
             let host = sim.world_mut();
             for dest in 0..cfg.shards {
                 if host.outbox[dest].is_empty() {
@@ -409,35 +468,38 @@ fn run_shard<W: ShardWorld>(
                 let mut batch = std::mem::take(&mut host.outbox[dest]);
                 shared.mailboxes[dest].lock().unwrap().append(&mut batch);
             }
-        }
+        });
         shared.barrier.wait();
 
         // Merge inbound envelopes in deterministic (time, tag, seq) order, then publish this
         // shard's horizon for the joint decision.
-        let mut inbound = std::mem::take(&mut *shared.mailboxes[idx].lock().unwrap());
-        inbound.sort_unstable_by_key(|e| (e.deliver_at, e.tag, e.seq));
-        for env in inbound {
-            debug_assert!(
-                env.deliver_at >= end,
-                "envelope at {} arrived inside the closed window ending at {end}",
-                env.deliver_at
-            );
-            sim.schedule_event_at(
-                env.deliver_at,
-                ShardEvent::Deliver {
-                    src: env.tag,
-                    msg: env.msg,
-                },
-            );
-        }
+        guarded(&mut sim, shared, |sim| {
+            let mut inbound = std::mem::take(&mut *shared.mailboxes[idx].lock().unwrap());
+            inbound.sort_unstable_by_key(|e| (e.deliver_at, e.tag, e.seq));
+            for env in inbound {
+                debug_assert!(
+                    env.deliver_at >= end,
+                    "envelope at {} arrived inside the closed window ending at {end}",
+                    env.deliver_at
+                );
+                sim.schedule_event_at(
+                    env.deliver_at,
+                    ShardEvent::Deliver {
+                        src: env.tag,
+                        msg: env.msg,
+                    },
+                );
+            }
+        });
         publish(&mut sim);
         shared.barrier.wait();
     };
 
+    let (sim, outcome) = (sim?, outcome?);
     let executed = sim.executed_events();
     let now = sim.now();
     let host = sim.into_world();
-    ShardExit {
+    Some(ShardExit {
         world: host.world,
         executed,
         now,
@@ -445,7 +507,7 @@ fn run_shard<W: ShardWorld>(
         windows,
         messages: host.messages,
         cross_messages: host.cross_messages,
-    }
+    })
 }
 
 /// Runs a shard-native workload to completion under the conservative-window protocol.
@@ -458,7 +520,9 @@ fn run_shard<W: ShardWorld>(
 ///
 /// # Panics
 ///
-/// Panics on zero shards or a zero lookahead (a zero window never advances virtual time).
+/// Panics on zero shards or a zero lookahead (a zero window never advances virtual time). A
+/// panic inside any shard (a workload handler, `build` or `init`) stops every shard at the next
+/// window boundary and is then re-raised on the calling thread with its original payload.
 pub fn run_sharded<W: ShardWorld>(
     cfg: &ShardConfig,
     build: impl Fn(usize) -> W + Sync,
@@ -478,10 +542,12 @@ pub fn run_sharded<W: ShardWorld>(
                     next: None,
                     executed: 0,
                     progress: 0,
+                    failed: false,
                 })
             })
             .collect(),
         barrier: Barrier::new(cfg.shards),
+        panic: Mutex::new(None),
     };
 
     let mut results = Vec::with_capacity(cfg.shards);
@@ -491,6 +557,10 @@ pub fn run_sharded<W: ShardWorld>(
         let shared_ref = &shared;
         let build_ref = &build;
         let init_ref = &init;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the shard runtime is the sanctioned home of simulation threads"
+        )]
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..cfg.shards)
                 .map(|idx| {
@@ -502,6 +572,14 @@ pub fn run_sharded<W: ShardWorld>(
             }
         });
     }
+    let parked = shared.panic.into_inner();
+    if let Some(payload) = parked.expect("the panic slot is never held across a panic") {
+        panic::resume_unwind(payload);
+    }
+    let results: Vec<ShardExit<W>> = results
+        .into_iter()
+        .map(|r| r.expect("an unfailed run returns every shard"))
+        .collect();
 
     let outcome = results[0].outcome;
     let last_event = results.iter().map(|r| r.now).max().unwrap_or(SimTime::ZERO);
@@ -748,6 +826,37 @@ mod tests {
                 );
             },
         );
+    }
+
+    /// A world whose first event panics on shard 1, while shard 0 ticks forever.
+    struct Boom;
+
+    impl ShardWorld for Boom {
+        type Msg = ();
+        type Local = ();
+
+        fn on_message(_sim: &mut ShardSim<Self>, _src: u64, _msg: ()) {}
+
+        fn on_local(sim: &mut ShardSim<Self>, _ev: ()) {
+            assert!(sim.world().shard() != 1, "boom on shard 1");
+            sim.schedule_local_in(SimDuration::from_millis(1), ());
+        }
+    }
+
+    #[test]
+    fn a_panicking_shard_stops_its_peers_and_re_raises() {
+        let cfg = ShardConfig::new(2, SimDuration::from_millis(5), 1);
+        let result = std::panic::catch_unwind(|| {
+            run_sharded(
+                &cfg,
+                |_| Boom,
+                |sim| sim.schedule_local_in(SimDuration::from_millis(1), ()),
+            )
+        });
+        let payload = result
+            .err()
+            .expect("the shard's panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom on shard 1"));
     }
 
     #[test]

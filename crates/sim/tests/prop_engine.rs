@@ -257,14 +257,14 @@ proptest! {
     ) {
         let mut q = EventQueue::new();
         let ids: Vec<_> = times.iter().enumerate().map(|(i, &t)| (i, q.push(SimTime::from_micros(t), i))).collect();
-        let mut cancelled = std::collections::HashSet::new();
+        let mut cancelled = std::collections::BTreeSet::new();
         for (i, id) in &ids {
             if *cancel_mask.get(*i % cancel_mask.len()).unwrap_or(&false) {
                 q.cancel(*id);
                 cancelled.insert(*i);
             }
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         while let Some((_, _, payload)) = q.pop() {
             seen.insert(payload);
         }

@@ -1,9 +1,9 @@
-//! Runtime determinism smoke: the dynamic complement of the `p2plab-lint` static pass.
+//! Runtime determinism smoke: the dynamic complement of the clippy gate.
 //!
-//! The lint proves the *absence of known nondeterminism sources* (process-seeded hash maps,
-//! wall-clock reads); this test checks the property those rules protect on a real run: the
-//! same scenario cell with the same seed, executed twice in one process, produces
-//! byte-identical `RunReport` metric output. Wall-clock fields (`wall_secs`,
+//! `clippy.toml` bans the *known nondeterminism sources* (process-seeded hash maps,
+//! wall-clock reads, raw threads); this test checks the property those rules protect on a
+//! real run: the same scenario cell with the same seed, executed twice in one process,
+//! produces byte-identical `RunReport` metric output. Wall-clock fields (`wall_secs`,
 //! `events_per_sec`) are the two sanctioned nondeterministic fields — they are zeroed before
 //! comparison, exactly as the campaign summary excludes them.
 
@@ -31,7 +31,7 @@ fn same_seed_same_cell_yields_identical_report_bytes() {
     let b = second.deterministic_json();
     assert!(
         a == b,
-        "two same-seed runs of cell `{}` diverged — a nondeterminism source escaped the lint",
+        "two same-seed runs of cell `{}` diverged — a nondeterminism source escaped clippy.toml",
         cell.label
     );
 }
